@@ -54,7 +54,7 @@ examples-check:
 
 # Bounds-check-elimination contract: the kernel inner loops listed in
 # bce_clean.txt must compile with zero surviving bounds checks
-# (cmd/bcecheck compiles internal/tflm + internal/dsp with
+# (cmd/bcecheck compiles every package the list names with
 # -gcflags=-d=ssa/check_bce and maps the compiler's findings to functions).
 bce-check:
 	$(GO) run ./cmd/bcecheck

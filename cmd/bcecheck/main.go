@@ -1,9 +1,11 @@
 // Command bcecheck enforces the bounds-check-elimination contract on the
-// kernel hot loops (`make bce-check`). It compiles the kernel packages with
-// `-gcflags=-d=ssa/check_bce`, which makes the compiler print every bounds
-// check that survives the prove pass, maps each finding to its enclosing
-// function with go/parser, and fails if any finding lands in a function
-// named by the checked-in clean list (bce_clean.txt at the repo root).
+// kernel hot loops (`make bce-check`). It compiles every package that holds
+// a file named by the checked-in clean list (bce_clean.txt at the repo
+// root) with `-gcflags=-d=ssa/check_bce`, which makes the compiler print
+// every bounds check that survives the prove pass, maps each finding to its
+// enclosing function with go/parser, and fails if any finding lands in a
+// function the list names. The package set comes from the list itself, so
+// an entry can never pass because its package was not compiled.
 //
 // The clean list is a contract, not a snapshot: the listed functions are the
 // per-MAC / per-butterfly inner loops that were hand-restructured so the
@@ -27,6 +29,7 @@ import (
 	"go/token"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
@@ -44,14 +47,14 @@ var findingRE = regexp.MustCompile(`^(.+\.go):(\d+):\d+: Found (Is(?:Slice)?InBo
 
 func main() {
 	cleanPath := flag.String("clean", "bce_clean.txt", "clean-list file: '<file>:<func>' lines that must compile check-free")
-	pkgList := flag.String("pkgs", "./internal/tflm,./internal/dsp", "comma-separated packages to compile with -d=ssa/check_bce")
 	flag.Parse()
 
 	entries, err := readCleanList(*cleanPath)
 	if err != nil {
 		fatal(err)
 	}
-	findings, err := compileFindings(strings.Split(*pkgList, ","))
+	pkgs := packagesOf(entries)
+	findings, err := compileFindings(pkgs)
 	if err != nil {
 		fatal(err)
 	}
@@ -86,8 +89,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bcecheck: FAIL: %d violation(s); restore the BCE idiom or consciously amend %s\n", bad, *cleanPath)
 		os.Exit(1)
 	}
-	fmt.Printf("bcecheck: OK: %d protected functions check-free (%d surviving checks elsewhere are allowed)\n",
-		len(entries), len(findings))
+	fmt.Printf("bcecheck: OK: %d protected functions in %d packages check-free (%d surviving checks elsewhere are allowed)\n",
+		len(entries), len(pkgs), len(findings))
 }
 
 type cleanEntry struct {
@@ -125,6 +128,22 @@ func readCleanList(path string) ([]cleanEntry, error) {
 		return nil, fmt.Errorf("bcecheck: clean list %s is empty", path)
 	}
 	return entries, nil
+}
+
+// packagesOf returns the package directories ("./internal/dsp") of the
+// clean-list files, sorted and deduplicated.
+func packagesOf(entries []cleanEntry) []string {
+	seen := map[string]bool{}
+	var pkgs []string
+	for _, e := range entries {
+		dir := "./" + filepath.ToSlash(filepath.Dir(e.file))
+		if !seen[dir] {
+			seen[dir] = true
+			pkgs = append(pkgs, dir)
+		}
+	}
+	sort.Strings(pkgs)
+	return pkgs
 }
 
 // compileFindings builds pkgs with the check_bce debug flag and parses the

@@ -84,7 +84,14 @@
 // half-spectra are unzipped in a split post-pass — about half the
 // butterflies and twiddle loads per frame of the full complex transform,
 // with the same 1/FFTSize output scaling. The per-frontend tables pin both
-// twiddle sets and the precomputed bit-reversal permutations. The hot path
+// twiddle sets and the precomputed bit-reversal permutations. The frontend
+// runs no separate bit-reversal pass: its windowed pack stores each
+// even/odd sample pair straight at its bit-reversed slot, and the stage
+// kernel (fftStages) runs the three smallest butterfly stages as one
+// in-register radix-8 pass and the rest as radix-2² stage pairs. FFTFixed
+// and RFFTFixed keep the permutation pass in front of that same kernel,
+// which is bit-identical to the plain radix-2 stage loop it replaced
+// (TestFFTFixedMatchesOracle, TestFingerprintDigest). The hot path
 // fuses the post-pass: rfftPowerFixed squares each spectrum bin while it is
 // still in registers (bit-identical to squaring rfftFixed's output), and
 // log compression runs on an integer threshold table built from the float

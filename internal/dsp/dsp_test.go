@@ -391,6 +391,27 @@ func TestFrontendConfigValidation(t *testing.T) {
 	if _, err := NewFrontend(bad); err == nil {
 		t.Fatal("zero averaging width accepted")
 	}
+	// A one-sample Hann window is 0/0 (a NaN Q15 window); an empty one
+	// yields all-zero fingerprints. Neither is a usable geometry.
+	for _, w := range []int{-1, 0, 1} {
+		bad = DefaultFrontend()
+		bad.WindowSamples = w
+		if _, err := NewFrontend(bad); err == nil {
+			t.Fatalf("window of %d samples accepted", w)
+		}
+	}
+	for _, sr := range []int{-16000, 0} {
+		bad = DefaultFrontend()
+		bad.SampleRate = sr
+		if _, err := NewFrontend(bad); err == nil {
+			t.Fatalf("sample rate %d accepted", sr)
+		}
+	}
+	ok := DefaultFrontend()
+	ok.WindowSamples = 2
+	if _, err := NewFrontend(ok); err != nil {
+		t.Fatalf("two-sample window rejected: %v", err)
+	}
 }
 
 func TestLogCompress(t *testing.T) {

@@ -71,7 +71,9 @@ func bitReverse[T int32 | float64](re, im []T) {
 // the hot loop performs no bits.Reverse64 work. The swap targets are
 // data-dependent (the permutation itself), so its bounds checks are
 // irreducible; the function is kept out of line so they stay attributed here
-// and the fftFixed stage sweep remains clean under make bce-check.
+// and its callers stay clean under make bce-check. The frontend never runs
+// it: its windowed pack stores each sample pair at the bit-reversed slot
+// directly (packWindowed).
 //
 //go:noinline
 func bitReversePerm(re, im []int32, perm []int32) {
@@ -96,13 +98,24 @@ type twiddles struct {
 	// perm[i] is the bit-reversed index of i, precomputed so the per-call
 	// reorder is a table walk instead of bits.Reverse64 arithmetic.
 	perm []int32
-	// stageCos/stageSin[s] are the contiguous per-stage twiddle tables of
-	// butterfly stage size 8<<s (the generic stages of fftFixed): entry k is
-	// cos/sin[k·(n/size)]. Walking them at stride 1 replaces the mul-indexed
-	// strided reads of the shared table — sequential loads the prove pass
-	// can bound, and better locality for the small early stages.
-	stageCos [][]int32
-	stageSin [][]int32
+	// pairs[p] is the interleaved twiddle table of the p-th radix-2² pass
+	// of fftStages, which fuses the butterfly stages of sizes 16<<2p and
+	// 32<<2p. One sequential entry per butterfly index k carries all three
+	// twiddles that index needs, so the pass reads one stride-1 stream
+	// instead of three strided walks of the shared table.
+	pairs [][]pairTw
+	// lastStage is set when the stage count above the radix-8 pass is odd:
+	// the final size-n stage then runs alone, on cos/sin directly.
+	lastStage bool
+}
+
+// pairTw holds the twiddles of butterfly index k in one radix-2² pass over
+// stage sizes s and 2s (h = s/2): W_s^k for the first stage, and W_{2s}^k
+// and W_{2s}^{k+h} for the second.
+type pairTw struct {
+	c1, s1 int32
+	c2, s2 int32
+	c3, s3 int32
 }
 
 func computeTwiddles(n int) *twiddles {
@@ -116,15 +129,20 @@ func computeTwiddles(n int) *twiddles {
 	for i := range tw.perm {
 		tw.perm[i] = int32(bits.Reverse64(uint64(i)) >> shift)
 	}
-	for size := 8; size <= n; size <<= 1 {
-		half, stride := size/2, n/size
-		cos, sin := make([]int32, half), make([]int32, half)
-		for k := 0; k < half; k++ {
-			cos[k], sin[k] = tw.cos[k*stride], tw.sin[k*stride]
+	size := 16
+	for ; 2*size <= n; size <<= 2 {
+		h, stride := size/2, n/size
+		tp := make([]pairTw, h)
+		for k := range tp {
+			tp[k] = pairTw{
+				c1: tw.cos[k*stride], s1: tw.sin[k*stride],
+				c2: tw.cos[k*stride/2], s2: tw.sin[k*stride/2],
+				c3: tw.cos[(k+h)*stride/2], s3: tw.sin[(k+h)*stride/2],
+			}
 		}
-		tw.stageCos = append(tw.stageCos, cos)
-		tw.stageSin = append(tw.stageSin, sin)
+		tw.pairs = append(tw.pairs, tp)
 	}
+	tw.lastStage = size == n
 	return tw
 }
 
@@ -153,77 +171,156 @@ func FFTFixed(re, im []int32) error {
 	return nil
 }
 
-// fftFixed is the FFTFixed core with a caller-provided twiddle table; the
-// frontend precomputes its table once so the hot loop never touches the
-// shared cache.
+// fftFixed is FFTFixed over natural-order input with a caller-provided
+// twiddle table: the bit-reversal permutation, then the butterfly stages.
 func fftFixed(re, im []int32, tw *twiddles) {
-	n := len(re)
-	if len(im) < n {
+	if len(im) < len(re) {
 		panic("dsp: fftFixed im shorter than re")
 	}
 	bitReversePerm(re, im, tw.perm)
-	// The first two stages use only the twiddles 1 and -i, which are exact
-	// in any fixed-point format — specializing them skips the Q15 rounding
-	// multiplies (and their 1-LSB error) on a quarter of all butterflies.
-	// Both walk the arrays by reslicing fixed-size blocks so every access is
-	// provably in range (make bce-check).
-	for rr, ii := re, im; len(rr) >= 2 && len(ii) >= 2; rr, ii = rr[2:], ii[2:] {
-		ar, ai := rr[0]>>1, ii[0]>>1
-		br, bi := rr[1]>>1, ii[1]>>1
-		rr[0], ii[0] = ar+br, ai+bi
-		rr[1], ii[1] = ar-br, ai-bi
+	fftStages(re, im, tw)
+}
+
+// Size-8 stage twiddles W_8^k = e^{-2πik/8} in Q15, k = 0..3: the values
+// computeTwiddles yields for every n ≥ 8 at index k·n/8
+// (TestRadix8TwiddleConstants), so the radix-8 pass multiplies by
+// constants and the k = 0 and k = 2 terms fold their zero products away.
+const (
+	w8c0, w8s0 = 32767, 0
+	w8c1, w8s1 = 23170, -23170
+	w8c2, w8s2 = 0, -32767
+	w8c3, w8s3 = -23170, -23170
+)
+
+// butterfly is the radix-2 decimation-in-time butterfly every stage of the
+// fixed-point FFT applies: the upper input b is rotated by the Q15 twiddle
+// w with rounding, and both outputs a ± w·b are scaled by 1/2 so
+// magnitudes stay bounded. Passes differ only in which points they feed
+// it and in how many stages they keep in registers; the integer sequence
+// per butterfly is this one, so every pass order is bit-identical.
+func butterfly(ar, ai, br, bi, wr, wi int32) (xr, xi, yr, yi int32) {
+	tr := int32((int64(wr)*int64(br)-int64(wi)*int64(bi)+16384)>>15) >> 1
+	ti := int32((int64(wr)*int64(bi)+int64(wi)*int64(br)+16384)>>15) >> 1
+	ar >>= 1
+	ai >>= 1
+	return ar + tr, ai + ti, ar - tr, ai - ti
+}
+
+// butterfly1 is butterfly for the twiddle 1, and butterflyNegI for -i:
+// both are exact in any fixed-point format, so the first two stages skip
+// the Q15 rounding multiplies (and their 1-LSB error).
+func butterfly1(ar, ai, br, bi int32) (xr, xi, yr, yi int32) {
+	ar, ai, br, bi = ar>>1, ai>>1, br>>1, bi>>1
+	return ar + br, ai + bi, ar - br, ai - bi
+}
+
+func butterflyNegI(ar, ai, br, bi int32) (xr, xi, yr, yi int32) {
+	ar, ai, br, bi = ar>>1, ai>>1, br>>1, bi>>1
+	return ar + bi, ai - br, ar - bi, ai + br
+}
+
+// fftStages runs every butterfly stage of the radix-2 FFT over re/im
+// (len n, a power of two, im at least as long) already in bit-reversed
+// order. It makes three kinds of memory pass: the three smallest stages as
+// one radix-8 pass held in registers, then the remaining stages two at a
+// time as radix-2² passes, then, when their count is odd, the size-n
+// stage alone. The frontend packs its samples straight into bit-reversed
+// order and calls this directly; FFTFixed and rfftFixed permute first.
+func fftStages(re, im []int32, tw *twiddles) {
+	switch n := len(re); {
+	case n >= 8:
+		fftRadix8(re, im)
+	case n == 4 && len(im) >= 4:
+		r, i := (*[4]int32)(re), (*[4]int32)(im)
+		r[0], i[0], r[1], i[1] = butterfly1(r[0], i[0], r[1], i[1])
+		r[2], i[2], r[3], i[3] = butterfly1(r[2], i[2], r[3], i[3])
+		r[0], i[0], r[2], i[2] = butterfly1(r[0], i[0], r[2], i[2])
+		r[1], i[1], r[3], i[3] = butterflyNegI(r[1], i[1], r[3], i[3])
+	case n == 2 && len(im) >= 2:
+		re[0], im[0], re[1], im[1] = butterfly1(re[0], im[0], re[1], im[1])
 	}
-	for rr, ii := re, im; len(rr) >= 4 && len(ii) >= 4; rr, ii = rr[4:], ii[4:] {
-		ar, ai := rr[0]>>1, ii[0]>>1
-		br, bi := rr[2]>>1, ii[2]>>1
-		rr[0], ii[0] = ar+br, ai+bi
-		rr[2], ii[2] = ar-br, ai-bi
-		// k = 1: W = -i rotates (br, bi) to (bi, -br).
-		ar, ai = rr[1]>>1, ii[1]>>1
-		br, bi = rr[3]>>1, ii[3]>>1
-		rr[1], ii[1] = ar+bi, ai-br
-		rr[3], ii[3] = ar-bi, ai+br
+	for _, tp := range tw.pairs {
+		fftPair(re, im, tp)
 	}
-	// Generic stages, driven by the per-stage contiguous twiddle tables:
-	// stage s has butterfly size 2·len(stageCos[s]), so every block bound
-	// derives from slice lengths (half = len(cw), size = half+half) — terms
-	// the prove pass can order without overflow caveats. Each block is split
-	// into lower/upper half-slices walked by one index k, and the blocks
-	// themselves advance by reslicing; the whole sweep carries no bounds
-	// checks (make bce-check).
-	sc, ss := tw.stageCos, tw.stageSin
-	for s := 0; s < len(sc) && s < len(ss); s++ {
-		cw, sw := sc[s], ss[s]
-		half := len(cw)
-		if half == 0 || half > n>>1 || len(sw) != half {
-			break
+	if tw.lastStage {
+		fftLastStage(re, im, tw.cos, tw.sin)
+	}
+}
+
+// fftRadix8 runs stages of size 2, 4 and 8 over each block of eight points
+// in registers: one load and one store per point instead of three.
+func fftRadix8(re, im []int32) {
+	for len(re) >= 8 && len(im) >= 8 {
+		r, i := (*[8]int32)(re), (*[8]int32)(im)
+		r0, i0, r1, i1 := butterfly1(r[0], i[0], r[1], i[1])
+		r2, i2, r3, i3 := butterfly1(r[2], i[2], r[3], i[3])
+		r4, i4, r5, i5 := butterfly1(r[4], i[4], r[5], i[5])
+		r6, i6, r7, i7 := butterfly1(r[6], i[6], r[7], i[7])
+		r0, i0, r2, i2 = butterfly1(r0, i0, r2, i2)
+		r1, i1, r3, i3 = butterflyNegI(r1, i1, r3, i3)
+		r4, i4, r6, i6 = butterfly1(r4, i4, r6, i6)
+		r5, i5, r7, i7 = butterflyNegI(r5, i5, r7, i7)
+		r[0], i[0], r[4], i[4] = butterfly(r0, i0, r4, i4, w8c0, w8s0)
+		r[1], i[1], r[5], i[5] = butterfly(r1, i1, r5, i5, w8c1, w8s1)
+		r[2], i[2], r[6], i[6] = butterfly(r2, i2, r6, i6, w8c2, w8s2)
+		r[3], i[3], r[7], i[7] = butterfly(r3, i3, r7, i7, w8c3, w8s3)
+		re, im = re[8:], im[8:]
+	}
+}
+
+// fftPair runs the two butterfly stages of sizes 2h and 4h (h = len(tp))
+// as one radix-2² pass: each block of 4h points is cut into quarters q0..q3,
+// and index k loads one point of each, applies the first stage to (q0, q1)
+// and (q2, q3) and the second to (q0, q2) and (q1, q3), and stores them
+// back. Every quarter is exactly h long, the length of tp, so the prove
+// pass covers the whole sweep (make bce-check).
+func fftPair(re, im []int32, tp []pairTw) {
+	h := len(tp)
+	for h > 0 && len(re) >= h && len(im) >= h {
+		r0, i0 := re[:h], im[:h]
+		re, im = re[h:], im[h:]
+		if len(re) < h || len(im) < h {
+			return
 		}
-		rr, ii := re, im
-		for len(rr) >= half && len(ii) >= half {
-			al, bl := rr[:half], ii[:half]
-			rr, ii = rr[half:], ii[half:]
-			if len(rr) < half || len(ii) < half {
-				break
-			}
-			ah, bh := rr[:half], ii[:half]
-			rr, ii = rr[half:], ii[half:]
-			for k := 0; k < len(al) && k < len(ah) && k < len(bl) && k < len(bh) && k < len(cw) && k < len(sw); k++ {
-				wr := cw[k]
-				wi := sw[k]
-				// Complex multiply in Q15 with rounding.
-				tr := int32((int64(wr)*int64(ah[k]) - int64(wi)*int64(bh[k]) + 16384) >> 15)
-				ti := int32((int64(wr)*int64(bh[k]) + int64(wi)*int64(ah[k]) + 16384) >> 15)
-				// Stage scaling by 1/2 keeps magnitudes bounded.
-				ai := al[k] >> 1
-				bi := bl[k] >> 1
-				tr >>= 1
-				ti >>= 1
-				ah[k] = ai - tr
-				bh[k] = bi - ti
-				al[k] = ai + tr
-				bl[k] = bi + ti
-			}
+		r1, i1 := re[:h], im[:h]
+		re, im = re[h:], im[h:]
+		if len(re) < h || len(im) < h {
+			return
 		}
+		r2, i2 := re[:h], im[:h]
+		re, im = re[h:], im[h:]
+		if len(re) < h || len(im) < h {
+			return
+		}
+		r3, i3 := re[:h], im[:h]
+		re, im = re[h:], im[h:]
+		for k := range tp {
+			w := &tp[k]
+			ar, ai, br, bi := butterfly(r0[k], i0[k], r1[k], i1[k], w.c1, w.s1)
+			cr, ci, dr, di := butterfly(r2[k], i2[k], r3[k], i3[k], w.c1, w.s1)
+			r0[k], i0[k], r2[k], i2[k] = butterfly(ar, ai, cr, ci, w.c2, w.s2)
+			r1[k], i1[k], r3[k], i3[k] = butterfly(br, bi, dr, di, w.c3, w.s3)
+		}
+	}
+}
+
+// fftLastStage runs the size-n butterfly stage alone (h = len(cw) = n/2
+// butterflies over the halves of re/im), with the twiddles W_n^k straight
+// from the shared table.
+func fftLastStage(re, im, cw, sw []int32) {
+	h := len(cw)
+	if len(sw) < h || len(re) < h || len(im) < h {
+		return
+	}
+	sw = sw[:h]
+	r0, i0 := re[:h], im[:h]
+	re, im = re[h:], im[h:]
+	if len(re) < h || len(im) < h {
+		return
+	}
+	r1, i1 := re[:h], im[:h]
+	for k, wr := range cw {
+		r0[k], i0[k], r1[k], i1[k] = butterfly(r0[k], i0[k], r1[k], i1[k], wr, sw[k])
 	}
 }
 
@@ -315,8 +412,10 @@ func rfftFixed(re, im []int32, half, full *twiddles) {
 // is still in registers. The arithmetic producing each Re/Im is kept in
 // lockstep with rfftFixed term for term (TestRFFTPowerMatchesRFFT pins
 // this), so the powers are bit-identical to squaring rfftFixed's output —
-// the fusion only skips the spectrum store and re-load. re/im are left
-// holding the packed half-size FFT (scratch, not a spectrum).
+// the fusion only skips the spectrum store and re-load. Unlike rfftFixed,
+// re/im arrive already in bit-reversed order (the frontend's windowed pack
+// scatters them there), so it runs fftStages without a permutation pass;
+// they are left holding the packed half-size FFT (scratch, not a spectrum).
 func rfftPowerFixed(re, im []int32, half, full *twiddles, pow []uint64) {
 	m := len(re)
 	if m == 0 || len(im) != m || len(pow) < m || len(full.cos) < m || len(full.sin) < m {
@@ -325,7 +424,7 @@ func rfftPowerFixed(re, im []int32, half, full *twiddles, pow []uint64) {
 	im = im[:m]
 	pow = pow[:m]
 	cos, sin := full.cos[:m], full.sin[:m]
-	fftFixed(re, im, half)
+	fftStages(re, im, half)
 	const rnd = 1 << 16
 	for k, j := 1, m-1; k < j && j < m; k, j = k+1, j-1 {
 		zrk, zik := int64(re[k]), int64(im[k])

@@ -54,6 +54,15 @@ func (c FrontendConfig) validate() error {
 	if c.FFTSize <= 0 || c.FFTSize&(c.FFTSize-1) != 0 {
 		return fmt.Errorf("dsp: FFT size %d not a power of two", c.FFTSize)
 	}
+	if c.SampleRate <= 0 {
+		return fmt.Errorf("dsp: non-positive sample rate %d", c.SampleRate)
+	}
+	// The Hann window divides by WindowSamples-1: one sample makes it 0/0
+	// (a NaN Q15 window that breaks the FFT's |x| ≤ 32767 input bound), and
+	// none silently yields all-zero fingerprints.
+	if c.WindowSamples < 2 {
+		return fmt.Errorf("dsp: window of %d samples, need at least 2", c.WindowSamples)
+	}
 	if c.WindowSamples > c.FFTSize {
 		return fmt.Errorf("dsp: window %d exceeds FFT size %d", c.WindowSamples, c.FFTSize)
 	}
@@ -71,13 +80,14 @@ func (c FrontendConfig) validate() error {
 // per-utterance state is preallocated at construction: the Q15 Hann window,
 // the FFT scratch, the twiddle tables (with bit-reversal permutations) for
 // the configured FFT size, and the feature bin sub-ranges of the
-// log-compression stage. ExtractInto is therefore allocation-free; a
-// frontend is cheap to keep per worker.
+// log-compression stage with their reciprocals. ExtractInto is therefore
+// allocation-free; a frontend is cheap to keep per worker.
 //
-// The spectrum comes from the real-input FFT (rfftFixed): the FFTSize real
-// samples run through an FFTSize/2-point complex FFT plus a split
-// post-pass, halving the butterfly and twiddle-load count per frame versus
-// the full complex transform the frontend originally used. The output
+// The spectrum comes from the real-input FFT (rfftPowerFixed): the FFTSize
+// real samples, windowed and packed straight into bit-reversed order, run
+// through an FFTSize/2-point complex FFT plus a split post-pass, halving
+// the butterfly and twiddle-load count per frame versus the full complex
+// transform the frontend originally used. The output
 // scale (1/FFTSize) is unchanged, so feature values match the old path
 // within the fixed-point rounding tolerance (the split post-pass rounds
 // where the discarded butterfly stage truncated — individual fingerprint
@@ -90,27 +100,31 @@ type Frontend struct {
 	twHalf *twiddles
 	twFull *twiddles
 	// binLo/binHi are the precomputed [lo, hi) spectrum sub-range of each
-	// feature (the final feature may cover fewer than AvgWidth bins).
+	// feature (the final feature may cover fewer than AvgWidth bins), and
+	// binRecip the reciprocal of its width that divRecip divides by.
 	binLo, binHi []int
+	binRecip     []uint64
 }
 
-// NewFrontend builds a frontend; nil-safe defaults come from
-// DefaultFrontend.
+// NewFrontend builds a frontend for cfg, which must be fully specified: it
+// applies no defaults and rejects an invalid geometry. Start from
+// DefaultFrontend for the paper's configuration.
 func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	features := cfg.NumFeatures()
 	f := &Frontend{
-		cfg:    cfg,
-		window: make([]int32, cfg.WindowSamples),
-		re:     make([]int32, cfg.FFTSize/2),
-		im:     make([]int32, cfg.FFTSize/2),
-		pow:    make([]uint64, cfg.FFTSize/2),
-		twHalf: twiddlesFor(cfg.FFTSize / 2),
-		twFull: twiddlesFor(cfg.FFTSize),
-		binLo:  make([]int, features),
-		binHi:  make([]int, features),
+		cfg:      cfg,
+		window:   make([]int32, cfg.WindowSamples),
+		re:       make([]int32, cfg.FFTSize/2),
+		im:       make([]int32, cfg.FFTSize/2),
+		pow:      make([]uint64, cfg.FFTSize/2),
+		twHalf:   twiddlesFor(cfg.FFTSize / 2),
+		twFull:   twiddlesFor(cfg.FFTSize),
+		binLo:    make([]int, features),
+		binHi:    make([]int, features),
+		binRecip: make([]uint64, features),
 	}
 	for i := range f.window {
 		// Hann window in Q15.
@@ -124,6 +138,7 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 			hi = cfg.NumBins
 		}
 		f.binLo[feat], f.binHi[feat] = lo, hi
+		f.binRecip[feat] = math.MaxUint64 / uint64(hi-lo)
 	}
 	return f, nil
 }
@@ -161,35 +176,12 @@ func (f *Frontend) ExtractInto(dst []uint8, samples []int16) []uint8 {
 // This is the shared per-frame kernel of ExtractInto and Streamer.Push, so
 // streamed fingerprints are bit-exact against full recomputation.
 func (f *Frontend) frameInto(dst []uint8, samples []int16, start int) {
-	cfg := f.cfg
-	// Windowed frame in Q15, packed straight into the real-FFT layout:
-	// even samples into the real scratch, odd samples into the imaginary
-	// scratch, each at half its sample index. The window multiply covers
-	// the samples actually present; the packed tails (zero padding up to
-	// FFTSize) are cleared with branch-free memclr loops.
-	n := cfg.WindowSamples
-	if rem := len(samples) - start; rem < n {
-		n = rem
+	// The samples actually present; the rest of the window is zero padding.
+	var frame []int16
+	if start < len(samples) {
+		frame = samples[start:min(len(samples), start+f.cfg.WindowSamples)]
 	}
-	if n < 0 {
-		n = 0
-	}
-	for i := 0; i+1 < n; i += 2 {
-		f.re[i>>1] = int32((int64(samples[start+i]) * int64(f.window[i]) / 2) >> 15)
-		f.im[i>>1] = int32((int64(samples[start+i+1]) * int64(f.window[i+1]) / 2) >> 15)
-	}
-	if n&1 == 1 {
-		f.re[n>>1] = int32((int64(samples[start+n-1]) * int64(f.window[n-1]) / 2) >> 15)
-		f.im[n>>1] = 0
-	}
-	half := (n + 1) / 2
-	for i := range f.re[half:] {
-		f.re[half+i] = 0
-	}
-	half = n / 2
-	for i := range f.im[half:] {
-		f.im[half+i] = 0
-	}
+	packWindowed(f.re, f.im, frame, f.window, f.twHalf.perm)
 	// Fused post-pass: the real-FFT unzip squares each spectrum bin while
 	// it is in registers (rfftPowerFixed), so the bin-averaging loop below
 	// reads one power array instead of re-loading two spectrum arrays, and
@@ -197,6 +189,8 @@ func (f *Frontend) frameInto(dst []uint8, samples []int16, start int) {
 	// the hot path. Both halves are bit-exact with the unfused pipeline
 	// (TestFrontendFusedEquivalence): the powers are the same squares, and
 	// logCompressFixed equals logCompress on every uint64 by construction.
+	// Bin averages divide by multiplying with the width's reciprocal
+	// (divRecip), exact for every accumulator value.
 	rfftPowerFixed(f.re, f.im, f.twHalf, f.twFull, f.pow)
 	pw := f.pow
 	for feat := range f.binLo {
@@ -208,9 +202,53 @@ func (f *Frontend) frameInto(dst []uint8, samples []int16, start int) {
 		for _, p := range pw[lo:hi] {
 			acc += p
 		}
-		avg := acc / uint64(hi-lo)
-		dst[feat] = logCompressFixed(avg)
+		dst[feat] = logCompressFixed(divRecip(acc, uint64(hi-lo), f.binRecip[feat]))
 	}
+}
+
+// packWindowed writes the Hann-windowed frame into the real-FFT layout the
+// stage kernel expects: sample pair (2i, 2i+1) becomes complex point i
+// (even sample real, odd imaginary), stored straight at its bit-reversed
+// slot perm[i], so the frontend needs no separate permutation pass. The
+// frame may be shorter than the window (the utterance tail); every slot
+// whose pair lies beyond it is zeroed. The window multiply keeps the
+// original Q15 rounding, (x·w/2) >> 15, so the packed values are those of
+// a natural-order pack followed by bitReversePerm.
+func packWindowed(re, im []int32, frame []int16, window, perm []int32) {
+	if len(im) < len(re) {
+		panic("dsp: packWindowed im shorter than re")
+	}
+	im = im[:len(re)]
+	s, w, p := frame, window, perm
+	for len(s) >= 2 && len(w) >= 2 && len(p) >= 1 {
+		if j := int(p[0]); uint(j) < uint(len(re)) {
+			re[j] = int32((int64(s[0]) * int64(w[0]) / 2) >> 15)
+			im[j] = int32((int64(s[1]) * int64(w[1]) / 2) >> 15)
+		}
+		s, w, p = s[2:], w[2:], p[1:]
+	}
+	if len(s) == 1 && len(w) >= 1 && len(p) >= 1 {
+		if j := int(p[0]); uint(j) < uint(len(re)) {
+			re[j] = int32((int64(s[0]) * int64(w[0]) / 2) >> 15)
+			im[j] = 0
+		}
+		p = p[1:]
+	}
+	for _, j := range p {
+		if j := int(j); uint(j) < uint(len(re)) {
+			re[j], im[j] = 0, 0
+		}
+	}
+}
+
+// divRecip returns ⌊x/d⌋ for any uint64 x and d ≥ 1 given r = ⌊(2^64−1)/d⌋,
+// with one 64×64→128 multiply instead of a hardware divide. The high word
+// q of x·r undershoots ⌊x/d⌋ by at most one (r·d > 2^64 − 1 − d, so
+// x·r/2^64 > x/d − 1), and the remainder x − q·d < 2d tells which: adding
+// 1 − ((x − q·d − d) >> 63) corrects q without a branch.
+func divRecip(x, d, r uint64) uint64 {
+	q, _ := bits.Mul64(x, r)
+	return q + 1 - (x-q*d-d)>>63
 }
 
 // logCompress maps an averaged power value to a uint8 feature:
@@ -250,27 +288,39 @@ var logThresholds = func() *[256]uint64 {
 	return &t
 }()
 
-// logCompressFixed is logCompress as an integer threshold lookup: the bit
-// length of p brackets 8·log2(1+p) to within a few steps, and a short walk
-// over logThresholds lands on the exact byte. No floating point, ≤ 9
-// comparisons, bit-identical to the reference on every uint64.
+// logCompressFixed is logCompress as an integer threshold search: for
+// p ≥ 1 with bit length L, 8·log2(1+p) lies in [8(L−1), 8L], so the byte
+// is v0 = 8(L−1) plus the count of the eight thresholds
+// logThresholds[v0..v0+7] that p reaches. Four fixed comparisons find that
+// count (three halving steps over the first seven, then the eighth). No
+// floating point, bit-identical to the reference on every uint64.
 func logCompressFixed(p uint64) uint8 {
-	v := 8 * (bits.Len64(p) - 1)
-	if v < 0 {
-		v = 0
-	} else if v > 255 {
-		v = 255
+	l := bits.Len64(p)
+	if l == 0 {
+		return 0
 	}
-	// The uint8 index casts are provably lossless (v is bracket-clamped to
-	// [0,255]) and make every table access in-bounds by type alone, so the
-	// walk carries no bounds checks (make bce-check).
-	for v > 0 && p < logThresholds[uint8(v-1)] {
-		v--
+	if l > 32 {
+		// 8·log2(1+p) > 8·32 = 256: saturated.
+		return 255
 	}
-	for v < 255 && p >= logThresholds[uint8(v)] {
-		v++
-	}
+	// v0 ≤ 248, so every probe index is at most 255 and the uint8 casts
+	// are lossless; they make each table access in-bounds by type alone
+	// (make bce-check). p < 2^32 never reaches logThresholds[255]. Each
+	// step adds its width times reached(p, t) instead of branching: the
+	// outcomes are data-dependent and would mispredict.
+	v := 8 * (l - 1)
+	v += 4 * reached(p, logThresholds[uint8(v+3)])
+	v += 2 * reached(p, logThresholds[uint8(v+1)])
+	v += reached(p, logThresholds[uint8(v)])
+	v += reached(p, logThresholds[uint8(v)])
 	return uint8(v)
+}
+
+// reached is 1 if p ≥ t and 0 otherwise, computed from the borrow of p − t
+// so it compiles without a branch.
+func reached(p, t uint64) int {
+	_, borrow := bits.Sub64(p, t, 0)
+	return int(1 - borrow)
 }
 
 // Cycles returns the cost of one full fingerprint extraction on a simulated

@@ -25,6 +25,7 @@ func TestRFFTPowerMatchesRFFT(t *testing.T) {
 			im2 := append([]int32(nil), im...)
 			rfftFixed(re2, im2, half, full)
 			pow := make([]uint64, m)
+			bitReversePerm(re, im, half.perm) // rfftPowerFixed takes bit-reversed input
 			rfftPowerFixed(re, im, half, full, pow)
 			for k := 0; k < m; k++ {
 				xr, xi := int64(re2[k]), int64(im2[k])
@@ -129,6 +130,78 @@ func TestFrontendFusedEquivalence(t *testing.T) {
 					t.Fatalf("len=%d trial=%d frame=%d feat=%d: fused %d != unfused %d",
 						n, trial, frame, feat, got[frame*features+feat], want[feat])
 				}
+			}
+		}
+	}
+}
+
+// TestPackWindowedMatchesPermutedPack: the frontend's pack must leave the
+// exact values of the natural-order windowed pack followed by the
+// bit-reversal pass it replaced — down to the LSB, which the fingerprint
+// bytes alone would not always show — for every frame length from empty to
+// a full window, with full-range samples. Every other length uses rounding
+// edge samples: x·w ≡ −1 (mod 2^16) for odd window values w, where the
+// truncating /2 and a floor shift disagree on negative products.
+func TestPackWindowedMatchesPermutedPack(t *testing.T) {
+	r := rand.New(rand.NewSource(74))
+	f, err := NewFrontend(DefaultFrontend())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := len(f.re)
+	for n := 0; n <= len(f.window); n++ {
+		frame := make([]int16, n)
+		for i := range frame {
+			frame[i] = int16(r.Intn(65536) - 32768)
+			if w := uint16(f.window[i]); n&1 == 1 && w&1 == 1 {
+				inv := w // Newton iteration for w⁻¹ mod 2^16
+				for range 4 {
+					inv *= 2 - w*inv
+				}
+				frame[i] = int16(-inv)
+			}
+		}
+		wantRe, wantIm := make([]int32, m), make([]int32, m)
+		for i := range frame {
+			v := int32((int64(frame[i]) * int64(f.window[i]) / 2) >> 15)
+			if i&1 == 0 {
+				wantRe[i>>1] = v
+			} else {
+				wantIm[i>>1] = v
+			}
+		}
+		bitReversePerm(wantRe, wantIm, f.twHalf.perm)
+		re, im := make([]int32, m), make([]int32, m)
+		for i := range re {
+			re[i], im[i] = -1, -1 // stale scratch must be overwritten
+		}
+		packWindowed(re, im, frame, f.window, f.twHalf.perm)
+		for k := 0; k < m; k++ {
+			if re[k] != wantRe[k] || im[k] != wantIm[k] {
+				t.Fatalf("n=%d slot %d: packed (%d,%d), want (%d,%d)", n, k, re[k], im[k], wantRe[k], wantIm[k])
+			}
+		}
+	}
+}
+
+// TestDivRecipExact: the reciprocal divide equals hardware division for
+// every divisor a feature width can take and for dividends across all 64
+// bits, including the extremes where the correction step decides.
+func TestDivRecipExact(t *testing.T) {
+	r := rand.New(rand.NewSource(75))
+	divisors := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 12, 255, 256, 1 << 20, math.MaxUint32, 1<<63 - 1, 1 << 63}
+	for trial := 0; trial < 64; trial++ {
+		divisors = append(divisors, 1+uint64(r.Intn(4096)))
+	}
+	for _, d := range divisors {
+		recip := uint64(math.MaxUint64) / d
+		xs := []uint64{0, 1, d - 1, d, d + 1, 2*d - 1, math.MaxUint64, math.MaxUint64 - 1, math.MaxUint64 - d}
+		for trial := 0; trial < 2000; trial++ {
+			xs = append(xs, r.Uint64()>>uint(r.Intn(64)))
+		}
+		for _, x := range xs {
+			if got, want := divRecip(x, d, recip), x/d; got != want {
+				t.Fatalf("divRecip(%d, %d) = %d, want %d", x, d, got, want)
 			}
 		}
 	}

@@ -78,6 +78,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -243,20 +244,49 @@ func DecodeSamples(dst []int16, b []byte) ([]int16, error) {
 	n := len(b) / 2
 	if cap(dst) < n {
 		dst = make([]int16, n)
+	} else {
+		dst = dst[:n]
 	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = int16(binary.LittleEndian.Uint16(b[2*i:]))
-	}
+	decodePCM16(dst, b)
 	return dst, nil
+}
+
+// decodePCM16 decodes min(len(dst), len(b)/2) little-endian samples from b
+// into dst, four per 64-bit load. Both buffers advance by reslicing under
+// a compound length condition, so the prove pass drops every bounds check
+// (make bce-check).
+func decodePCM16(dst []int16, b []byte) {
+	for len(dst) >= 4 && len(b) >= 8 {
+		v := binary.LittleEndian.Uint64(b)
+		dst[0], dst[1], dst[2], dst[3] = int16(v), int16(v>>16), int16(v>>32), int16(v>>48)
+		dst, b = dst[4:], b[8:]
+	}
+	for len(dst) >= 1 && len(b) >= 2 {
+		dst[0] = int16(binary.LittleEndian.Uint16(b))
+		dst, b = dst[1:], b[2:]
+	}
 }
 
 // AppendSamples appends chunk as PCM16 bytes.
 func AppendSamples(dst []byte, chunk []int16) []byte {
-	for _, s := range chunk {
-		dst = append(dst, byte(s), byte(uint16(s)>>8))
+	n := len(dst) + 2*len(chunk)
+	dst = slices.Grow(dst, 2*len(chunk))
+	encodePCM16(dst[len(dst):n], chunk)
+	return dst[:n]
+}
+
+// encodePCM16 is decodePCM16 in reverse: min(len(src), len(b)/2) samples
+// into b as little-endian bytes, four per 64-bit store, check-free.
+func encodePCM16(b []byte, src []int16) {
+	for len(src) >= 4 && len(b) >= 8 {
+		binary.LittleEndian.PutUint64(b, uint64(uint16(src[0]))|uint64(uint16(src[1]))<<16|
+			uint64(uint16(src[2]))<<32|uint64(uint16(src[3]))<<48)
+		src, b = src[4:], b[8:]
 	}
-	return dst
+	for len(src) >= 1 && len(b) >= 2 {
+		binary.LittleEndian.PutUint16(b, uint16(src[0]))
+		src, b = src[1:], b[2:]
+	}
 }
 
 // DecodeBatch parses a FrameBatch body: id, then a count-prefixed sequence
